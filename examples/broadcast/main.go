@@ -32,7 +32,7 @@ func main() {
 		fmt.Printf("== %s: n=%d m=%d, t=%d\n", tc.name, g.NumNodes(), g.NumEdges(), tr)
 
 		// Direct flooding on G.
-		direct, err := simulate.DirectBroadcastCost(ctx, g, tr, seed, local.Config{Concurrent: true})
+		direct, err := simulate.Collect(ctx, g, g, tr, seed, local.Config{Concurrent: true})
 		if err != nil {
 			log.Fatal(err)
 		}

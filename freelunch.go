@@ -64,17 +64,12 @@
 // live in the internal packages (internal/graph, internal/graph/gen,
 // internal/algorithms, internal/local); the most useful types are aliased
 // here so typical use needs only this package plus the generators.
-//
-// The pre-registry entry points (BuildSpanner, RunDirect, SimulateScheme1,
-// SimulateScheme2, SimulateScheme2EN) remain as deprecated wrappers over
-// the Engine and produce identical outputs at the same seed.
 package repro
 
 import (
 	"repro/internal/adversary"
 	"repro/internal/algorithms"
 	"repro/internal/graph"
-	"repro/internal/local"
 )
 
 // Aliases for the types a typical caller touches.
@@ -87,10 +82,6 @@ type (
 	EdgeID = graph.EdgeID
 	// AlgorithmSpec describes a t-round LOCAL algorithm to simulate.
 	AlgorithmSpec = algorithms.Spec
-	// RunConfig configures the LOCAL simulator directly. New code should
-	// prefer an Engine with functional options; RunConfig remains for the
-	// deprecated entry points.
-	RunConfig = local.Config
 	// AdversaryProfile configures the pluggable network adversary a run
 	// executes against (see WithAdversary): seeded message drops and
 	// duplications, crash-stop failures, per-edge delivery delays, and

@@ -157,11 +157,11 @@ func E7Scheme1(quick bool) Report {
 		nDense = 250
 	}
 	dense := gen.Complete(nDense)
-	direct, err := simulate.DirectBroadcastCost(context.Background(), dense, tr, seed, local.Config{Concurrent: true})
+	direct, err := simulate.Collect(context.Background(), dense, dense, tr, seed, local.Config{Concurrent: true})
 	if err != nil {
 		panic(err)
 	}
-	s1, err := simulate.Scheme1(context.Background(), dense, spec, p, seed, local.Config{Concurrent: true}, progressHooks("E7"))
+	s1, err := simulate.Scheme1(context.Background(), dense, spec, p, seed, local.Config{Concurrent: true}, progressHooks("E7"), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -201,7 +201,7 @@ func E7Scheme1(quick bool) Report {
 		if err != nil {
 			panic(err)
 		}
-		sw, err := simulate.Scheme1(context.Background(), g, spec, p, seed, local.Config{Concurrent: true}, progressHooks("E7"))
+		sw, err := simulate.Scheme1(context.Background(), g, spec, p, seed, local.Config{Concurrent: true}, progressHooks("E7"), nil)
 		if err != nil {
 			panic(err)
 		}
@@ -270,11 +270,11 @@ func E8TwoStage(quick bool) Report {
 	const tr, bsK = 4, 2
 	seed := uint64(41)
 	spec := algorithms.MaxID(tr)
-	s2, err := simulate.Scheme2(context.Background(), g, spec, simulate.Scheme1Params(1), bsK, seed, local.Config{Concurrent: true}, progressHooks("E8"))
+	s2, err := simulate.Scheme2With(context.Background(), g, spec, simulate.Scheme1Params(1), simulate.BaswanaSenStage2(bsK), seed, local.Config{Concurrent: true}, progressHooks("E8"), nil)
 	if err != nil {
 		panic(err)
 	}
-	s1, err := simulate.Scheme1(context.Background(), g, spec, simulate.Scheme1Params(1), seed, local.Config{Concurrent: true}, progressHooks("E8"))
+	s1, err := simulate.Scheme1(context.Background(), g, spec, simulate.Scheme1Params(1), seed, local.Config{Concurrent: true}, progressHooks("E8"), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -641,11 +641,11 @@ func E15ElkinNeimanStage(quick bool) Report {
 	spec := algorithms.MaxID(tr)
 	p := simulate.Scheme1Params(1)
 
-	bs, err := simulate.Scheme2With(context.Background(), g, spec, p, simulate.BaswanaSenStage2(k2), seed, local.Config{Concurrent: true}, progressHooks("E15"))
+	bs, err := simulate.Scheme2With(context.Background(), g, spec, p, simulate.BaswanaSenStage2(k2), seed, local.Config{Concurrent: true}, progressHooks("E15"), nil)
 	if err != nil {
 		panic(err)
 	}
-	en, err := simulate.Scheme2With(context.Background(), g, spec, p, simulate.ElkinNeimanStage2(k2), seed, local.Config{Concurrent: true}, progressHooks("E15"))
+	en, err := simulate.Scheme2With(context.Background(), g, spec, p, simulate.ElkinNeimanStage2(k2), seed, local.Config{Concurrent: true}, progressHooks("E15"), nil)
 	if err != nil {
 		panic(err)
 	}

@@ -4,8 +4,6 @@
 // parameters ({Family, N, Degree/P/M, Rows, Cols, Seed, Path}) and Build it.
 // The registry behind it (Families) is shared by the CLI flags, the HTTP
 // server's graph spec, and Go callers, so the three surfaces cannot drift.
-// The historical per-family constructors (Complete, GNP, Grid, ...) survive
-// in deprecated.go as thin wrappers over the same implementations.
 //
 // Every generator is deterministic given its seed (or *xrand.RNG argument),
 // so experiments and tests are reproducible. Generators emit edges straight
@@ -24,8 +22,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// complete returns the complete graph K_n.
-func complete(n int) *graph.Graph {
+// Complete returns the complete graph K_n.
+func Complete(n int) *graph.Graph {
 	g := graph.NewWithCapacity(n, n*(n-1)/2)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
@@ -35,8 +33,8 @@ func complete(n int) *graph.Graph {
 	return g
 }
 
-// cycle returns the n-cycle (n >= 3).
-func cycle(n int) *graph.Graph {
+// Cycle returns the n-cycle (n >= 3).
+func Cycle(n int) *graph.Graph {
 	g := graph.NewWithCapacity(n, n)
 	if n < 2 {
 		return g
@@ -47,8 +45,8 @@ func cycle(n int) *graph.Graph {
 	return g
 }
 
-// path returns the path on n nodes.
-func path(n int) *graph.Graph {
+// Path returns the path on n nodes.
+func Path(n int) *graph.Graph {
 	g := graph.NewWithCapacity(n, n-1)
 	for v := 0; v+1 < n; v++ {
 		g.AddEdge(graph.NodeID(v), graph.NodeID(v+1))
@@ -56,8 +54,8 @@ func path(n int) *graph.Graph {
 	return g
 }
 
-// star returns the star with one hub (node 0) and n-1 leaves.
-func star(n int) *graph.Graph {
+// Star returns the star with one hub (node 0) and n-1 leaves.
+func Star(n int) *graph.Graph {
 	g := graph.NewWithCapacity(n, n-1)
 	for v := 1; v < n; v++ {
 		g.AddEdge(0, graph.NodeID(v))
@@ -65,8 +63,8 @@ func star(n int) *graph.Graph {
 	return g
 }
 
-// grid returns the rows x cols grid graph.
-func grid(rows, cols int) *graph.Graph {
+// Grid returns the rows x cols grid graph.
+func Grid(rows, cols int) *graph.Graph {
 	g := graph.NewWithCapacity(rows*cols, 2*rows*cols)
 	id := func(r, c int) graph.NodeID { return graph.NodeID(r*cols + c) }
 	for r := 0; r < rows; r++ {
@@ -82,9 +80,9 @@ func grid(rows, cols int) *graph.Graph {
 	return g
 }
 
-// torus returns the rows x cols torus (grid with wraparound); rows and cols
+// Torus returns the rows x cols torus (grid with wraparound); rows and cols
 // must be at least 3 to avoid parallel edges.
-func torus(rows, cols int) *graph.Graph {
+func Torus(rows, cols int) *graph.Graph {
 	if rows < 3 || cols < 3 {
 		panic("gen: torus needs rows, cols >= 3")
 	}
@@ -99,8 +97,8 @@ func torus(rows, cols int) *graph.Graph {
 	return g
 }
 
-// hypercube returns the d-dimensional hypercube on 2^d nodes.
-func hypercube(d int) *graph.Graph {
+// Hypercube returns the d-dimensional hypercube on 2^d nodes.
+func Hypercube(d int) *graph.Graph {
 	n := 1 << d
 	g := graph.NewWithCapacity(n, n*d/2)
 	for v := 0; v < n; v++ {
@@ -114,10 +112,10 @@ func hypercube(d int) *graph.Graph {
 	return g
 }
 
-// gnp returns an Erdős–Rényi G(n, p) graph.
-func gnp(n int, p float64, rng *xrand.RNG) *graph.Graph {
+// GNP returns an Erdős–Rényi G(n, p) graph.
+func GNP(n int, p float64, rng *xrand.RNG) *graph.Graph {
 	if p >= 1 {
-		return complete(n)
+		return Complete(n)
 	}
 	g := graph.New(n)
 	if p <= 0 {
@@ -141,9 +139,15 @@ func gnp(n int, p float64, rng *xrand.RNG) *graph.Graph {
 	return g
 }
 
-// gnm returns a uniform graph with n nodes and exactly m distinct edges
+// ConnectedGNP returns G(n, p) patched connected by Connectify, which adds
+// at most (#components − 1) edges. It is the "gnp" Spec family.
+func ConnectedGNP(n int, p float64, rng *xrand.RNG) *graph.Graph {
+	return Connectify(GNP(n, p, rng), rng)
+}
+
+// GNM returns a uniform graph with n nodes and exactly m distinct edges
 // (no parallel edges). It panics if m exceeds n(n-1)/2.
-func gnm(n, m int, rng *xrand.RNG) *graph.Graph {
+func GNM(n, m int, rng *xrand.RNG) *graph.Graph {
 	max := n * (n - 1) / 2
 	if m > max {
 		panic(fmt.Sprintf("gen: GNM(%d,%d) exceeds %d possible edges", n, m, max))
@@ -180,19 +184,22 @@ func randomTree(n int, rng *xrand.RNG) *graph.Graph {
 }
 
 // randomRegular returns a d-regular graph on n nodes via the pairing model,
-// retrying until the pairing is simple. n*d must be even and d < n.
-func randomRegular(n, d int, rng *xrand.RNG) *graph.Graph {
-	if n*d%2 != 0 || d >= n || d < 0 {
-		panic(fmt.Sprintf("gen: invalid RandomRegular(%d,%d)", n, d))
+// retrying until the pairing is simple. n*d must be even and 1 <= d < n. The
+// chance that one pairing is simple falls like exp(-(d²-1)/4), so at degree
+// 6 and above the retries almost always run out; that is an error, not a
+// panic, because the family is reachable from external input.
+func randomRegular(n, d int, rng *xrand.RNG) (*graph.Graph, error) {
+	if d < 1 || d >= n || n*d%2 != 0 {
+		return nil, fmt.Errorf("gen: regular needs 1 <= deg < n with n*deg even, got n=%d deg=%d", n, d)
 	}
-	for attempt := 0; ; attempt++ {
+	const tries = 1002
+	for i := 0; i < tries; i++ {
 		if g, ok := tryPairing(n, d, rng); ok {
-			return g
-		}
-		if attempt > 1000 {
-			panic("gen: RandomRegular failed to produce a simple pairing")
+			return g, nil
 		}
 	}
+	return nil, fmt.Errorf("gen: regular(n=%d, deg=%d) found no simple pairing in %d attempts; "+
+		"the expander family builds random simple d-regular graphs", n, d, tries)
 }
 
 func tryPairing(n, d int, rng *xrand.RNG) (*graph.Graph, bool) {
@@ -224,10 +231,10 @@ func tryPairing(n, d int, rng *xrand.RNG) (*graph.Graph, bool) {
 	return g, true
 }
 
-// barbell returns two cliques of size cliqueN joined by a path of pathLen
+// Barbell returns two cliques of size cliqueN joined by a path of pathLen
 // intermediate nodes. This is the canonical low-conductance graph on which
 // gossip-based schemes suffer.
-func barbell(cliqueN, pathLen int) *graph.Graph {
+func Barbell(cliqueN, pathLen int) *graph.Graph {
 	n := 2*cliqueN + pathLen
 	g := graph.NewWithCapacity(n, cliqueN*(cliqueN-1)+pathLen+1)
 	addClique := func(base int) {
@@ -249,10 +256,10 @@ func barbell(cliqueN, pathLen int) *graph.Graph {
 	return g
 }
 
-// preferentialAttachment returns a Barabási–Albert graph: starting from a
-// star on m+1 nodes, each new node attaches to m distinct existing nodes
+// PreferentialAttachment returns a Barabási–Albert graph: starting from a
+// Star on m+1 nodes, each new node attaches to m distinct existing nodes
 // chosen proportionally to degree.
-func preferentialAttachment(n, m int, rng *xrand.RNG) *graph.Graph {
+func PreferentialAttachment(n, m int, rng *xrand.RNG) *graph.Graph {
 	if m < 1 || n < m+1 {
 		panic(fmt.Sprintf("gen: invalid PreferentialAttachment(%d,%d)", n, m))
 	}

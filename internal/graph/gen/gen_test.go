@@ -137,7 +137,7 @@ func TestGNMPanicsWhenOverfull(t *testing.T) {
 }
 
 func TestRandomTree(t *testing.T) {
-	g := RandomTree(64, xrand.New(5))
+	g := randomTree(64, xrand.New(5))
 	validate(t, g)
 	if g.NumEdges() != 63 || !g.Connected() {
 		t.Fatal("random tree is not a tree")
@@ -145,7 +145,10 @@ func TestRandomTree(t *testing.T) {
 }
 
 func TestRandomRegular(t *testing.T) {
-	g := RandomRegular(40, 4, xrand.New(9))
+	g, err := randomRegular(40, 4, xrand.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
 	validate(t, g)
 	if !g.IsSimple() {
 		t.Fatal("pairing left parallel edges")

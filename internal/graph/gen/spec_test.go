@@ -41,16 +41,20 @@ func TestBuildMatchesConstructors(t *testing.T) {
 				return Connectify(GNM(40, 70, rng), rng).Fingerprint()
 			}(),
 		},
-		{Spec{Family: "tree", N: 50, Seed: 9}, RandomTree(50, xrand.New(9)).Fingerprint()},
+		{Spec{Family: "tree", N: 50, Seed: 9}, randomTree(50, xrand.New(9)).Fingerprint()},
 		{
 			Spec{Family: "regular", N: 40, Degree: 4, Seed: 2},
 			func() uint64 {
 				rng := xrand.New(2)
-				return Connectify(RandomRegular(40, 4, rng), rng).Fingerprint()
+				g, err := randomRegular(40, 4, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return Connectify(g, rng).Fingerprint()
 			}(),
 		},
 		{Spec{Family: "pa", N: 50, Degree: 3, Seed: 5}, PreferentialAttachment(50, 3, xrand.New(5)).Fingerprint()},
-		{Spec{Family: "expander", N: 40, Degree: 4, Seed: 8}, Expander(40, 4, xrand.New(8)).Fingerprint()},
+		{Spec{Family: "expander", N: 40, Degree: 4, Seed: 8}, expander(40, 4, xrand.New(8)).Fingerprint()},
 	}
 	for _, c := range cases {
 		g, err := Build(c.spec)
@@ -73,6 +77,10 @@ func TestBuildValidation(t *testing.T) {
 		{Family: "torus", N: 4}, // derived side 2 < 3
 		{Family: "regular", N: 10, Degree: 11},
 		{Family: "regular", N: 5, Degree: 3}, // odd n*d
+		{Family: "regular", N: 10},           // degree 0
+		// A valid (n, deg) whose pairing retries run out: an error, not a
+		// panic, because specs arrive from flags and HTTP bodies.
+		{Family: "regular", N: 2000, Degree: 8, Seed: 11},
 		{Family: "pa", N: 3, Degree: 8},
 		{Family: "gnp", N: 10, P: 1.5},
 		{Family: "gnm", N: 5, M: 100},

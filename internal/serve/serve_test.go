@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"regexp"
 	"strconv"
 	"strings"
@@ -281,6 +282,50 @@ func TestServeErrorMapping(t *testing.T) {
 				t.Fatalf("status %d, want %d (error: %v)", code, tc.want, e)
 			}
 		})
+	}
+}
+
+// TestServeUnbuildableRegularIs400: the pairing-model "regular" family runs
+// out of retries at degree 8 (the server's default deg). That is a client
+// error, answered with 400 on a connection that stays usable, so the next
+// request on the same keep-alive connection succeeds.
+func TestServeUnbuildableRegularIs400(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	client := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+	t.Cleanup(client.CloseIdleConnections)
+	post := func(body string) (int, bool) {
+		t.Helper()
+		reused := false
+		trace := &httptrace.ClientTrace{GotConn: func(ci httptrace.GotConnInfo) { reused = ci.Reused }}
+		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace),
+			http.MethodPost, hs.URL+"/v1/simulate", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("POST %s: %v", body, err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatalf("read body: %v", err)
+		}
+		return resp.StatusCode, reused
+	}
+	for _, body := range []string{
+		`{"scheme":"direct","graph":{"family":"regular"}}`,
+		`{"scheme":"direct","graph":{"family":"regular","n":2000,"deg":8,"seed":11}}`,
+	} {
+		if code, _ := post(body); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, code)
+		}
+	}
+	code, reused := post(`{"scheme":"direct","graph":{"family":"complete","n":16}}`)
+	if code != http.StatusOK {
+		t.Fatalf("follow-up request: status %d, want 200", code)
+	}
+	if !reused {
+		t.Fatal("follow-up request opened a new connection: the 400s dropped theirs")
 	}
 }
 

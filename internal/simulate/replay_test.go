@@ -32,7 +32,7 @@ func TestReplayAllNMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := coll.ReplayAll(ctx, spec)
+		want, err := coll.ReplayAllN(ctx, spec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,6 +38,21 @@ type PhaseCost struct {
 	Duplicated int64
 }
 
+// RunCost bills a completed engine run as the named phase: its executed
+// rounds and messages, with the adversary's drops and duplications
+// attributed. Stages that bill only a prefix of their run (gossip through
+// its cover round) overwrite Rounds and Messages and keep the attribution,
+// which covers the whole executed run.
+func RunCost(name string, run local.Result) PhaseCost {
+	return PhaseCost{
+		Name:       name,
+		Rounds:     run.Rounds,
+		Messages:   run.Messages,
+		Dropped:    run.Dropped,
+		Duplicated: run.Duplicated,
+	}
+}
+
 // Hooks observes a scheme pipeline as it runs: Round fires after every
 // simulator round (labeled with the phase it belongs to), Phase fires when a
 // pipeline stage completes. Either may be nil. The zero Hooks observes
@@ -75,7 +90,7 @@ type SchemeResult struct {
 	SpannerEdges int
 	// FinalSpanner is the edge set of the spanner that carried the final
 	// collection (Sampler's for Scheme1; the simulated off-the-shelf
-	// construction's for Scheme2).
+	// construction's for Scheme2With).
 	FinalSpanner map[graph.EdgeID]bool
 }
 
@@ -150,6 +165,32 @@ func BuildStage1(ctx context.Context, g *graph.Graph, p core.Params, seed uint64
 	return st1, PhaseCost{Name: "sampler", Rounds: sp.Run.Rounds, Messages: sp.Run.Messages}, nil
 }
 
+// stage1 is every spanner-backed pipeline's prologue: it takes the stage-1
+// spanner from src (a fresh BuildStage1 when src is nil), labels a failure
+// with the pipeline's stage name, and reports the stage's phase.
+func stage1(ctx context.Context, g *graph.Graph, p core.Params, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source, stage string) (*Stage1, PhaseCost, error) {
+	if src == nil {
+		src = BuildStage1
+	}
+	st1, cost, err := src(ctx, g, p, seed, cfg, hooks)
+	if err != nil {
+		return nil, PhaseCost{}, fmt.Errorf("%s: %w", stage, err)
+	}
+	hooks.PhaseDone(cost)
+	return st1, cost, nil
+}
+
+// carried packages a collection that the stage-1 spanner carried.
+func (st1 *Stage1) carried(coll *Collection, phases ...PhaseCost) *SchemeResult {
+	return &SchemeResult{
+		Coll:         coll,
+		Phases:       phases,
+		StretchUsed:  st1.Stretch,
+		SpannerEdges: len(st1.S),
+		FinalSpanner: st1.S,
+	}
+}
+
 // replayWorkers translates a simulator config into ParallelFor's concurrency
 // knob: sequential runs replay sequentially, concurrent runs fan out over
 // the configured worker count (GOMAXPROCS when unset).
@@ -167,42 +208,21 @@ func replayWorkers(cfg local.Config) int {
 // distributed Sampler (parameter γ = p.K), then t-local-broadcast the
 // initial knowledge by flooding the spanner for stretch·t rounds. Round
 // complexity O(3^γ·t + 6^γ); message complexity Õ(t·n^{1+2/(2^{γ+1}−1)})
-// with the paper's parameter coupling h = 2^{γ+1}−1.
-func Scheme1(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, seed uint64, cfg local.Config, hooks Hooks) (*SchemeResult, error) {
-	return Scheme1Src(ctx, g, spec, p, seed, cfg, hooks, nil)
-}
-
-// Scheme1Src is Scheme1 with a pluggable stage-1 source (nil means a fresh
-// construction per call). An engine-level spanner cache passes its memoized
-// source here so that repeated runs amortize the construction.
-func Scheme1Src(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
-	if src == nil {
-		src = BuildStage1
-	}
-	st1, samplerCost, err := src(ctx, g, p, seed, cfg, hooks)
+// with the paper's parameter coupling h = 2^{γ+1}−1. src supplies the
+// stage-1 spanner (nil means a fresh construction per call); an engine-level
+// spanner cache passes its memoized source so repeated runs amortize it.
+func Scheme1(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
+	st1, samplerCost, err := stage1(ctx, g, p, seed, cfg, hooks, src, "scheme1 spanner")
 	if err != nil {
-		return nil, fmt.Errorf("scheme1 spanner: %w", err)
+		return nil, err
 	}
-	hooks.PhaseDone(samplerCost)
 	coll, err := Collect(ctx, g, st1.Host, st1.Stretch*spec.T, seed, hooks.RoundConfig(cfg, "collect"))
 	if err != nil {
 		return nil, fmt.Errorf("scheme1 collection: %w", err)
 	}
-	collectCost := PhaseCost{
-		Name:       "collect",
-		Rounds:     coll.Run.Rounds,
-		Messages:   coll.Run.Messages,
-		Dropped:    coll.Run.Dropped,
-		Duplicated: coll.Run.Duplicated,
-	}
+	collectCost := RunCost("collect", coll.Run)
 	hooks.PhaseDone(collectCost)
-	return &SchemeResult{
-		Coll:         coll,
-		Phases:       []PhaseCost{samplerCost, collectCost},
-		StretchUsed:  st1.Stretch,
-		SpannerEdges: len(st1.S),
-		FinalSpanner: st1.S,
-	}, nil
+	return st1.carried(coll, samplerCost, collectCost), nil
 }
 
 // Scheme1Params returns the paper's parameter coupling for scheme 1: level
@@ -253,15 +273,9 @@ func ElkinNeimanStage2(k int) Stage2 {
 	}
 }
 
-// Scheme2 implements Theorem 3's second trade-off with Baswana–Sen as the
-// off-the-shelf construction (the paper uses Derbel et al.; see DESIGN.md
-// §3.2 for the substitution).
-func Scheme2(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, bsK int, seed uint64, cfg local.Config, hooks Hooks) (*SchemeResult, error) {
-	return Scheme2With(ctx, g, spec, p, BaswanaSenStage2(bsK), seed, cfg, hooks)
-}
-
 // Scheme2With implements Theorem 3's second trade-off, the two-stage
-// pipeline, with a pluggable off-the-shelf construction:
+// pipeline, with a pluggable off-the-shelf construction (the paper uses
+// Derbel et al.; BaswanaSenStage2 substitutes for it, see DESIGN.md §3.2):
 //
 //  1. the distributed Sampler builds a stage-1 spanner H with stretch α;
 //  2. H simulates the stage-2 construction: the t₂-ball of every node is
@@ -270,22 +284,14 @@ func Scheme2(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.P
 //     — without sending a single message of the original Ω(m)-message
 //     algorithm;
 //  3. H′ carries the final collection for the target algorithm.
-func Scheme2With(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, st2 Stage2, seed uint64, cfg local.Config, hooks Hooks) (*SchemeResult, error) {
-	return Scheme2WithSrc(ctx, g, spec, p, st2, seed, cfg, hooks, nil)
-}
-
-// Scheme2WithSrc is Scheme2With with a pluggable stage-1 source (nil means a
-// fresh construction per call); see Scheme1Src.
-func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, st2 Stage2, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
-	if src == nil {
-		src = BuildStage1
-	}
+//
+// src supplies the stage-1 spanner as for Scheme1.
+func Scheme2With(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, st2 Stage2, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
 	// Stage 1: Sampler spanner.
-	st1, samplerCost, err := src(ctx, g, p, seed, cfg, hooks)
+	st1, samplerCost, err := stage1(ctx, g, p, seed, cfg, hooks, src, "scheme2 stage-1 spanner")
 	if err != nil {
-		return nil, fmt.Errorf("scheme2 stage-1 spanner: %w", err)
+		return nil, err
 	}
-	hooks.PhaseDone(samplerCost)
 
 	// Stage 2: simulate the off-the-shelf construction over H1.
 	st2Spec := algorithms.Spec{
@@ -302,34 +308,19 @@ func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p
 	if err != nil {
 		return nil, fmt.Errorf("scheme2 stage-2 collection: %w", err)
 	}
-	// The per-node replays are independent; fan them out and merge the
-	// incident edge sets afterwards (set union is order-independent, so the
-	// merged spanner is identical at every concurrency level).
-	nodeEdges := make([]map[graph.EdgeID]bool, g.NumNodes())
-	err = core.ParallelFor(ctx, g.NumNodes(), replayWorkers(cfg), func(v int) error {
-		out, err := coll2.Replay(st2Spec, graph.NodeID(v))
-		if err != nil {
-			return fmt.Errorf("scheme2 stage-2 replay at %d: %w", v, err)
-		}
-		nodeEdges[v] = out.(map[graph.EdgeID]bool)
-		return nil
-	})
+	// Set union is order-independent, so the merged spanner is identical at
+	// every replay concurrency level.
+	nodeEdges, err := coll2.ReplayAllN(ctx, st2Spec, replayWorkers(cfg))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scheme2 stage-2 replay: %w", err)
 	}
 	h2edges := make(map[graph.EdgeID]bool)
 	for _, edges := range nodeEdges {
-		for e := range edges {
+		for e := range edges.(map[graph.EdgeID]bool) {
 			h2edges[e] = true
 		}
 	}
-	stageCost := PhaseCost{
-		Name:       st2.Name,
-		Rounds:     coll2.Run.Rounds,
-		Messages:   coll2.Run.Messages,
-		Dropped:    coll2.Run.Dropped,
-		Duplicated: coll2.Run.Duplicated,
-	}
+	stageCost := RunCost(st2.Name, coll2.Run)
 	hooks.PhaseDone(stageCost)
 	h2, err := g.SubgraphByEdges(h2edges)
 	if err != nil {
@@ -341,13 +332,7 @@ func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p
 	if err != nil {
 		return nil, fmt.Errorf("scheme2 final collection: %w", err)
 	}
-	collectCost := PhaseCost{
-		Name:       "collect",
-		Rounds:     coll.Run.Rounds,
-		Messages:   coll.Run.Messages,
-		Dropped:    coll.Run.Dropped,
-		Duplicated: coll.Run.Duplicated,
-	}
+	collectCost := RunCost("collect", coll.Run)
 	hooks.PhaseDone(collectCost)
 	return &SchemeResult{
 		Coll:         coll,
@@ -358,13 +343,7 @@ func Scheme2WithSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p
 	}, nil
 }
 
-// DirectBroadcastCost measures the Θ(t·m) baseline: t-local broadcast by
-// flooding the communication graph itself.
-func DirectBroadcastCost(ctx context.Context, g *graph.Graph, t int, seed uint64, cfg local.Config) (*Collection, error) {
-	return Collect(ctx, g, g, t, seed, cfg)
-}
-
-// Scheme1CongestSrc is Scheme1Src under a CONGEST-style bandwidth budget:
+// Scheme1Congest is Scheme1 under a CONGEST-style bandwidth budget:
 // the Sampler spanner carries the same stretch·t-hop collection, but every
 // directed spanner edge transmits at most bw words per round, so oversized
 // ball payloads are split across extra rounds. The collection phase is
@@ -372,15 +351,11 @@ func DirectBroadcastCost(ctx context.Context, g *graph.Graph, t int, seed uint64
 // unbudgeted LOCAL schedule in PhaseCost.Dilation. Outputs replayed from the
 // collection are bit-identical to direct execution — the bandwidth cap
 // reshapes the schedule, never the knowledge.
-func Scheme1CongestSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, bw int, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
-	if src == nil {
-		src = BuildStage1
-	}
-	st1, samplerCost, err := src(ctx, g, p, seed, cfg, hooks)
+func Scheme1Congest(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, bw int, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
+	st1, samplerCost, err := stage1(ctx, g, p, seed, cfg, hooks, src, "scheme1-congest spanner")
 	if err != nil {
-		return nil, fmt.Errorf("scheme1-congest spanner: %w", err)
+		return nil, err
 	}
-	hooks.PhaseDone(samplerCost)
 	budgetRounds := st1.Stretch * spec.T
 	coll, err := CollectBudget(ctx, g, st1.Host, budgetRounds, bw, seed, hooks.RoundConfig(cfg, "collect(congest)"))
 	if err != nil {
@@ -396,16 +371,10 @@ func Scheme1CongestSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec
 		// duplicates to attribute.
 	}
 	hooks.PhaseDone(collectCost)
-	return &SchemeResult{
-		Coll:         coll,
-		Phases:       []PhaseCost{samplerCost, collectCost},
-		StretchUsed:  st1.Stretch,
-		SpannerEdges: len(st1.S),
-		FinalSpanner: st1.S,
-	}, nil
+	return st1.carried(coll, samplerCost, collectCost), nil
 }
 
-// HybridSrc composes the gossip baseline with the Sampler spanner pipeline:
+// Hybrid composes the gossip baseline with the Sampler spanner pipeline:
 // push–pull gossip runs until a target fraction of nodes holds its complete
 // t-ball (phase "gossip(seed)", billed up to that round), and the spanner
 // then floods only the residue — the rumors some node still misses — for
@@ -414,18 +383,14 @@ func Scheme1CongestSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec
 // The stage-1 spanner is built first so engine caches amortize it exactly as
 // for the pure spanner schemes. gossipBudget bounds the seeding stage's
 // schedule; failing to cover the fraction within it is an ErrRoundBudget.
-func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, fraction float64, gossipBudget int, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
+func Hybrid(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, fraction float64, gossipBudget int, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
 	if fraction <= 0 || fraction > 1 {
 		return nil, fmt.Errorf("hybrid fraction %v outside (0,1]", fraction)
 	}
-	if src == nil {
-		src = BuildStage1
-	}
-	st1, samplerCost, err := src(ctx, g, p, seed, cfg, hooks)
+	st1, samplerCost, err := stage1(ctx, g, p, seed, cfg, hooks, src, "hybrid spanner")
 	if err != nil {
-		return nil, fmt.Errorf("hybrid spanner: %w", err)
+		return nil, err
 	}
-	hooks.PhaseDone(samplerCost)
 
 	n := g.NumNodes()
 	ports := portsOf(g)
@@ -460,16 +425,10 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 	if err != nil {
 		return nil, fmt.Errorf("hybrid seed billing: %w", err)
 	}
-	seedCost := PhaseCost{
-		Name:     "gossip(seed)",
-		Rounds:   seedRound,
-		Messages: seedMsgs,
-		// Attribution covers the whole executed seeding run (the bill above
-		// is truncated at the seeding deadline; drop/duplicate attribution
-		// is not tracked per round).
-		Dropped:    gos.Run.Dropped,
-		Duplicated: gos.Run.Duplicated,
-	}
+	// The bill is truncated at the seeding deadline; drop/duplicate
+	// attribution is not tracked per round, so it covers the whole run.
+	seedCost := RunCost("gossip(seed)", gos.Run)
+	seedCost.Rounds, seedCost.Messages = seedRound, seedMsgs
 	hooks.PhaseDone(seedCost)
 
 	// Residue senders: every origin some node's t-ball still misses at the
@@ -488,13 +447,7 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 	if err != nil {
 		return nil, fmt.Errorf("hybrid residue collection: %w", err)
 	}
-	collectCost := PhaseCost{
-		Name:       "collect(residue)",
-		Rounds:     fl.Run.Rounds,
-		Messages:   fl.Run.Messages,
-		Dropped:    fl.Run.Dropped,
-		Duplicated: fl.Run.Duplicated,
-	}
+	collectCost := RunCost("collect(residue)", fl.Run)
 	hooks.PhaseDone(collectCost)
 
 	// Merge: what gossip had delivered by the seeding deadline, plus the
@@ -513,30 +466,20 @@ func HybridSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core
 		}
 		coll.Ports[v] = m
 	}
-	return &SchemeResult{
-		Coll:         coll,
-		Phases:       []PhaseCost{samplerCost, seedCost, collectCost},
-		StretchUsed:  st1.Stretch,
-		SpannerEdges: len(st1.S),
-		FinalSpanner: st1.S,
-	}, nil
+	return st1.carried(coll, samplerCost, seedCost, collectCost), nil
 }
 
-// GlobalCollectSrc realizes the paper's Section 7 extension as a collection
+// GlobalCollect realizes the paper's Section 7 extension as a collection
 // pipeline: the Sampler spanner elects a root and builds a BFS tree, every
 // node's port list is convergecast up the tree and the merged table is
 // flooded back down (phase "globalcast"), after which every node can replay
 // any node's t-ball locally. Rounds are O(stretch · diameter); messages are
 // O(n) tree messages carrying tables instead of Θ(t·m) flood traffic.
-func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
-	if src == nil {
-		src = BuildStage1
-	}
-	st1, samplerCost, err := src(ctx, g, p, seed, cfg, hooks)
+func GlobalCollect(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p core.Params, seed uint64, cfg local.Config, hooks Hooks, src Stage1Source) (*SchemeResult, error) {
+	st1, samplerCost, err := stage1(ctx, g, p, seed, cfg, hooks, src, "globalcompute spanner")
 	if err != nil {
-		return nil, fmt.Errorf("globalcompute spanner: %w", err)
+		return nil, err
 	}
-	hooks.PhaseDone(samplerCost)
 
 	n := g.NumNodes()
 	ports := portsOf(g)
@@ -560,13 +503,7 @@ func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec,
 	if err != nil {
 		return nil, fmt.Errorf("globalcompute convergecast: %w", err)
 	}
-	castCost := PhaseCost{
-		Name:       "globalcast",
-		Rounds:     runRes.Rounds,
-		Messages:   runRes.Messages,
-		Dropped:    runRes.Dropped,
-		Duplicated: runRes.Duplicated,
-	}
+	castCost := RunCost("globalcast", runRes)
 	hooks.PhaseDone(castCost)
 
 	// Every node holds the identical merged table (the root's map, shared
@@ -583,11 +520,5 @@ func GlobalCollectSrc(ctx context.Context, g *graph.Graph, spec algorithms.Spec,
 		}
 		coll.Ports[v] = table
 	}
-	return &SchemeResult{
-		Coll:         coll,
-		Phases:       []PhaseCost{samplerCost, castCost},
-		StretchUsed:  st1.Stretch,
-		SpannerEdges: len(st1.S),
-		FinalSpanner: st1.S,
-	}, nil
+	return st1.carried(coll, samplerCost, castCost), nil
 }

@@ -12,7 +12,7 @@
 // lists share an edge ID.
 //
 // Scheme1 realizes Theorem 3's first trade-off (spanner built by algorithm
-// Sampler, then one collection); Scheme2 realizes the second, two-stage
+// Sampler, then one collection); Scheme2With realizes the second, two-stage
 // trade-off (Sampler's spanner simulates an off-the-shelf spanner
 // construction — Baswana–Sen here, substituting for Derbel et al., see
 // DESIGN.md — whose output spanner then carries the final collection).
@@ -278,20 +278,13 @@ func (c *Collection) Replay(spec algorithms.Spec, v graph.NodeID) (any, error) {
 	return spec.Output(protos[idx[v]]), nil
 }
 
-// ReplayAll replays every node sequentially and returns the full output
-// vector. It is ReplayAllN with concurrency 0; cancelling ctx aborts between
-// node replays (each replay is one small-ball local re-execution, so aborts
-// land within one node's work).
-func (c *Collection) ReplayAll(ctx context.Context, spec algorithms.Spec) ([]any, error) {
-	return c.ReplayAllN(ctx, spec, 0)
-}
-
 // ReplayAllN replays every node and returns the full output vector, fanning
 // the independent per-node re-executions out over a worker pool. The
 // concurrency knob follows the facade convention: 0 sequential, w > 0 that
 // many workers, w < 0 GOMAXPROCS. Output slots are indexed by node, so the
 // result is byte-identical at every concurrency level; cancelling ctx aborts
-// between node replays.
+// between node replays (each replay is one small-ball local re-execution,
+// so aborts land within one node's work).
 func (c *Collection) ReplayAllN(ctx context.Context, spec algorithms.Spec, concurrency int) ([]any, error) {
 	out := make([]any, len(c.Ports))
 	err := core.ParallelFor(ctx, len(c.Ports), concurrency, func(v int) error {

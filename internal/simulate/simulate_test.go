@@ -52,7 +52,7 @@ func checkFidelity(t *testing.T, g *graph.Graph, spec algorithms.Spec, coll *Col
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coll.ReplayAll(context.Background(), spec)
+	got, err := coll.ReplayAllN(context.Background(), spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestScheme1Fidelity(t *testing.T) {
 				algorithms.MaxID(3),
 				algorithms.MIS(algorithms.MISRounds(g.NumNodes())),
 			} {
-				res, err := Scheme1(context.Background(), g, spec, Scheme1Params(1), seed, local.Config{}, Hooks{})
+				res, err := Scheme1(context.Background(), g, spec, Scheme1Params(1), seed, local.Config{}, Hooks{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +117,7 @@ func TestScheme1FidelityK2(t *testing.T) {
 	g := gen.ConnectedGNP(70, 0.1, xrand.New(4))
 	const seed = 13
 	spec := algorithms.Coloring(algorithms.ColoringRounds(70))
-	res, err := Scheme1(context.Background(), g, spec, Scheme1Params(2), seed, local.Config{}, Hooks{})
+	res, err := Scheme1(context.Background(), g, spec, Scheme1Params(2), seed, local.Config{}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestScheme2FidelityAndSpanner(t *testing.T) {
 	g := gen.ConnectedGNP(70, 0.12, xrand.New(6))
 	const seed = 23
 	spec := algorithms.MaxID(2)
-	res, err := Scheme2(context.Background(), g, spec, Scheme1Params(1), 2, seed, local.Config{}, Hooks{})
+	res, err := Scheme2With(context.Background(), g, spec, Scheme1Params(1), BaswanaSenStage2(2), seed, local.Config{}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestScheme2MatchesDirectBS(t *testing.T) {
 	// direct distributed run with the same seed.
 	g := gen.ConnectedGNP(60, 0.15, xrand.New(7))
 	const seed, bsK = 29, 2
-	res, err := Scheme2(context.Background(), g, algorithms.MaxID(1), Scheme1Params(1), bsK, seed, local.Config{}, Hooks{})
+	res, err := Scheme2With(context.Background(), g, algorithms.MaxID(1), Scheme1Params(1), BaswanaSenStage2(bsK), seed, local.Config{}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,9 +202,11 @@ func TestScheme1Params(t *testing.T) {
 	}
 }
 
+// TestDirectBroadcastCost: the Θ(t·m) baseline is a collection flooded over
+// the communication graph itself.
 func TestDirectBroadcastCost(t *testing.T) {
 	g := gen.Complete(40)
-	coll, err := DirectBroadcastCost(context.Background(), g, 2, 3, local.Config{})
+	coll, err := Collect(context.Background(), g, g, 2, 3, local.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +233,11 @@ func TestSchemeBeatsDirectOnDenseGraph(t *testing.T) {
 	spec := algorithms.MaxID(tr)
 	p := core.Default(2, 8)
 	p.C = 0.5
-	res, err := Scheme1(context.Background(), g, spec, p, seed, local.Config{Concurrent: true}, Hooks{})
+	res, err := Scheme1(context.Background(), g, spec, p, seed, local.Config{Concurrent: true}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := DirectBroadcastCost(context.Background(), g, tr, seed, local.Config{Concurrent: true})
+	direct, err := Collect(context.Background(), g, g, tr, seed, local.Config{Concurrent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +280,7 @@ func TestScheme2WithElkinNeiman(t *testing.T) {
 	g := gen.ConnectedGNP(70, 0.12, xrand.New(8))
 	const seed = 37
 	spec := algorithms.MaxID(2)
-	res, err := Scheme2With(context.Background(), g, spec, Scheme1Params(1), ElkinNeimanStage2(2), seed, local.Config{}, Hooks{})
+	res, err := Scheme2With(context.Background(), g, spec, Scheme1Params(1), ElkinNeimanStage2(2), seed, local.Config{}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +290,7 @@ func TestScheme2WithElkinNeiman(t *testing.T) {
 	}
 	// The EN stage must cost fewer rounds than the BS stage at the same
 	// stretch (k'=2: EN 5 rounds vs BS 7, times the stage-1 stretch).
-	bs, err := Scheme2(context.Background(), g, spec, Scheme1Params(1), 2, seed, local.Config{}, Hooks{})
+	bs, err := Scheme2With(context.Background(), g, spec, Scheme1Params(1), BaswanaSenStage2(2), seed, local.Config{}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +305,7 @@ func TestScheme2ENMatchesDirectEN(t *testing.T) {
 	// run edge for edge.
 	g := gen.ConnectedGNP(60, 0.15, xrand.New(9))
 	const seed, k = 43, 2
-	res, err := Scheme2With(context.Background(), g, algorithms.MaxID(1), Scheme1Params(1), ElkinNeimanStage2(k), seed, local.Config{}, Hooks{})
+	res, err := Scheme2With(context.Background(), g, algorithms.MaxID(1), Scheme1Params(1), ElkinNeimanStage2(k), seed, local.Config{}, Hooks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,7 @@ type PhaseCost = simulate.PhaseCost
 //     scheme1-congest, including its zero-message filler rounds;
 //   - "collect(residue)" — the hybrid scheme's residue flood;
 //   - "gossip(seed)" — the hybrid scheme's gossip seeding stage;
-//   - "gossip" — the push–pull gossip baseline (its fixed schedule, or the
-//     early-stopped prefix under WithEarlyStop — same label either way);
+//   - "gossip" — the push–pull gossip baseline's fixed schedule;
 //   - "gossip(earlystop)" — the gossip-earlystop and gossip-converge
 //     variants' early-stopped gossip stage;
 //   - "converge(halt)" — gossip-converge's distributed termination

@@ -59,15 +59,6 @@ type Options struct {
 	// stage must cover with complete t-balls before the spanner collects the
 	// residue. Must lie in (0,1]; default 0.5.
 	HybridFraction float64
-	// EarlyStop makes the plain "gossip" scheme end its round loop at the
-	// cover round instead of executing the full fixed schedule. Bills,
-	// outputs, and the streamed rounds through the cover round are
-	// bit-identical either way — only the schedule's dead tail (and its wall
-	// clock) disappears, along with the tail's RoundCompleted events. Default
-	// false: the baseline faithfully pays for its fixed schedule. The
-	// "gossip-earlystop" and "gossip-converge" scheme variants always stop
-	// early and ignore this knob; hybrid's seeding stage always stops early.
-	EarlyStop bool
 	// CacheSize bounds the engine's stage-1 spanner cache (LRU eviction).
 	// Zero means DefaultCacheSize.
 	CacheSize int
@@ -158,14 +149,6 @@ func WithBandwidth(words int) Option {
 // hybrid scheme's gossip stage must complete before the Sampler spanner
 // collects the residue. Default 0.5.
 func WithHybridFraction(f float64) Option { return func(o *Options) { o.HybridFraction = f } }
-
-// WithEarlyStop makes the plain "gossip" scheme stop its round loop at the
-// cover round instead of simulating its full fixed schedule (default false).
-// The bill through the cover round, the outputs, and the golden-pinned
-// results are bit-identical with the knob on or off — it is purely a wall
-// clock lever. The dedicated "gossip-earlystop" and "gossip-converge"
-// variants always stop early regardless of this option.
-func WithEarlyStop(on bool) Option { return func(o *Options) { o.EarlyStop = on } }
 
 // WithCacheSize bounds the engine's stage-1 spanner cache to the given
 // number of entries, evicting least-recently-used artifacts beyond it.

@@ -131,8 +131,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			cost := PhaseCost{Name: "direct", Rounds: run.Rounds, Messages: run.Messages,
-				Dropped: run.Dropped, Duplicated: run.Duplicated}
+			cost := simulate.RunCost("direct", run)
 			hooks.PhaseDone(cost)
 			return &SimulationResult{
 				Scheme:   "direct",
@@ -143,46 +142,28 @@ func init() {
 			}, nil
 		},
 	})
-	mustRegister(&schemeFunc{
-		name: "scheme1",
-		desc: "Theorem 3 (i): Sampler spanner + stretch·t-round collection",
-		run: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*SimulationResult, error) {
-			res, err := simulate.Scheme1Src(ctx, g, spec, o.samplerParams(), o.Seed, o.localConfig(), o.hooks(), o.stage1)
-			if err != nil {
-				return nil, err
-			}
-			return replayResult(ctx, "scheme1", res, spec, o)
-		},
-	})
-	mustRegister(&schemeFunc{
-		name: "scheme2",
-		desc: "Theorem 3 (ii): Sampler spanner simulates Baswana–Sen, whose spanner collects",
-		run: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*SimulationResult, error) {
-			res, err := simulate.Scheme2WithSrc(ctx, g, spec, o.samplerParams(),
+	mustRegister(replayScheme("scheme1",
+		"Theorem 3 (i): Sampler spanner + stretch·t-round collection",
+		func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
+			return simulate.Scheme1(ctx, g, spec, o.samplerParams(), o.Seed, o.localConfig(), o.hooks(), o.stage1)
+		}))
+	mustRegister(replayScheme("scheme2",
+		"Theorem 3 (ii): Sampler spanner simulates Baswana–Sen, whose spanner collects",
+		func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
+			return simulate.Scheme2With(ctx, g, spec, o.samplerParams(),
 				simulate.BaswanaSenStage2(o.StageK), o.Seed, o.localConfig(), o.hooks(), o.stage1)
-			if err != nil {
-				return nil, err
-			}
-			return replayResult(ctx, "scheme2", res, spec, o)
-		},
-	})
-	mustRegister(&schemeFunc{
-		name: "scheme2en",
-		desc: "scheme2 with Elkin–Neiman as the simulated stage (k+O(1) rounds vs O(k²))",
-		run: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*SimulationResult, error) {
-			res, err := simulate.Scheme2WithSrc(ctx, g, spec, o.samplerParams(),
+		}))
+	mustRegister(replayScheme("scheme2en",
+		"scheme2 with Elkin–Neiman as the simulated stage (k+O(1) rounds vs O(k²))",
+		func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
+			return simulate.Scheme2With(ctx, g, spec, o.samplerParams(),
 				simulate.ElkinNeimanStage2(o.StageK), o.Seed, o.localConfig(), o.hooks(), o.stage1)
-			if err != nil {
-				return nil, err
-			}
-			return replayResult(ctx, "scheme2en", res, spec, o)
-		},
-	})
+		}))
 	mustRegister(&schemeFunc{
 		name: "gossip",
 		desc: "push–pull gossip collection baseline (Censor-Hillel et al.; Haeupler)",
 		run: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*SimulationResult, error) {
-			return runGossip(ctx, g, spec, o, "gossip", "gossip", o.EarlyStop)
+			return runGossip(ctx, g, spec, o, "gossip", "gossip", false)
 		},
 	})
 	mustRegister(&schemeFunc{
@@ -196,24 +177,10 @@ func init() {
 		name: "gossip-converge",
 		desc: "early-stopped gossip + distributed termination detection (BFS-tree convergecast), detection billed as its own phase",
 		run: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*SimulationResult, error) {
-			budget := o.gossipBudget(g.NumNodes())
-			hooks := o.hooks()
-			coll, cover, msgs, err := simulate.GossipCollectEarly(ctx, g, spec.T, budget, o.Seed,
-				hooks.RoundConfig(o.localConfig(), "gossip(earlystop)"))
+			coll, gossipCost, err := collectGossip(ctx, g, spec, o, "gossip(earlystop)", true)
 			if err != nil {
 				return nil, err
 			}
-			if cover < 0 {
-				return nil, fmt.Errorf("gossip did not cover the %d-balls within %d rounds (raise WithMaxRounds): %w",
-					spec.T, budget, ErrRoundBudget)
-			}
-			// Rounds/Messages are truncated at the cover round; damage
-			// attribution covers the whole executed schedule (drop/duplicate
-			// counts are not tracked per round, and under delay profiles the
-			// in-flight gate can keep the run going well past cover).
-			gossipCost := PhaseCost{Name: "gossip(earlystop)", Rounds: cover, Messages: msgs,
-				Dropped: coll.Run.Dropped, Duplicated: coll.Run.Duplicated}
-			hooks.PhaseDone(gossipCost)
 			// The central stop check knew coverage was complete; distributed
 			// nodes do not. Bill what *knowing you're done* costs: at the
 			// stop round every node's local predicate ("my ball is covered")
@@ -223,6 +190,7 @@ func init() {
 			for v := range done {
 				done[v] = true
 			}
+			hooks := o.hooks()
 			dcfg := o.localConfig()
 			dcfg.Seed = o.Seed
 			ok, drun, err := globalcompute.DetectTermination(ctx, g, done, g.Diameter(),
@@ -233,97 +201,88 @@ func init() {
 			if !ok {
 				return nil, fmt.Errorf("gossip-converge termination detection returned a false verdict from all-true predicates")
 			}
-			detectCost := PhaseCost{Name: "converge(halt)", Rounds: drun.Rounds, Messages: drun.Messages,
-				Dropped: drun.Dropped, Duplicated: drun.Duplicated}
+			detectCost := simulate.RunCost("converge(halt)", drun)
 			hooks.PhaseDone(detectCost)
-			outs, err := coll.ReplayAllN(ctx, spec, o.Concurrency)
-			if err != nil {
-				return nil, err
-			}
-			return &SimulationResult{
-				Scheme:   "gossip-converge",
-				Outputs:  outs,
-				Rounds:   cover + drun.Rounds,
-				Messages: msgs + drun.Messages,
-				Phases:   []PhaseCost{gossipCost, detectCost},
-			}, nil
+			return replayResult(ctx, "gossip-converge",
+				&simulate.SchemeResult{Coll: coll, Phases: []PhaseCost{gossipCost, detectCost}}, spec, o)
 		},
 	})
-	mustRegister(&schemeFunc{
-		name: "scheme1-congest",
-		desc: "scheme1 under a CONGEST word cap: WithBandwidth words per edge per round, dilation in PhaseCost",
-		run: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*SimulationResult, error) {
-			res, err := simulate.Scheme1CongestSrc(ctx, g, spec, o.samplerParams(), o.bandwidth(g.NumNodes()),
+	mustRegister(replayScheme("scheme1-congest",
+		"scheme1 under a CONGEST word cap: WithBandwidth words per edge per round, dilation in PhaseCost",
+		func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
+			return simulate.Scheme1Congest(ctx, g, spec, o.samplerParams(), o.bandwidth(g.NumNodes()),
 				o.Seed, o.localConfig(), o.hooks(), o.stage1)
-			if err != nil {
-				return nil, err
-			}
-			return replayResult(ctx, "scheme1-congest", res, spec, o)
-		},
-	})
-	mustRegister(&schemeFunc{
-		name: "hybrid",
-		desc: "gossip seeds WithHybridFraction of the t-balls, the Sampler spanner collects the residue",
-		run: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*SimulationResult, error) {
-			res, err := simulate.HybridSrc(ctx, g, spec, o.samplerParams(), o.HybridFraction,
+		}))
+	mustRegister(replayScheme("hybrid",
+		"gossip seeds WithHybridFraction of the t-balls, the Sampler spanner collects the residue",
+		func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
+			return simulate.Hybrid(ctx, g, spec, o.samplerParams(), o.HybridFraction,
 				o.gossipBudget(g.NumNodes()), o.Seed, o.localConfig(), o.hooks(), o.stage1)
-			if err != nil {
-				return nil, err
-			}
-			return replayResult(ctx, "hybrid", res, spec, o)
-		},
-	})
-	mustRegister(&schemeFunc{
-		name: "globalcompute",
-		desc: "Section 7: spanner BFS tree convergecasts all knowledge, O(stretch·D) rounds, O(n) tree messages",
-		run: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*SimulationResult, error) {
-			res, err := simulate.GlobalCollectSrc(ctx, g, spec, o.samplerParams(), o.Seed, o.localConfig(), o.hooks(), o.stage1)
-			if err != nil {
-				return nil, err
-			}
-			return replayResult(ctx, "globalcompute", res, spec, o)
-		},
-	})
+		}))
+	mustRegister(replayScheme("globalcompute",
+		"Section 7: spanner BFS tree convergecasts all knowledge, O(stretch·D) rounds, O(n) tree messages",
+		func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error) {
+			return simulate.GlobalCollect(ctx, g, spec, o.samplerParams(), o.Seed, o.localConfig(), o.hooks(), o.stage1)
+		}))
 }
 
-// runGossip is the shared run body of the gossip family's central variants:
-// the plain fixed-schedule baseline ("gossip", optionally early-stopped via
-// WithEarlyStop) and the always-early-stopping "gossip-earlystop". Both bill
-// the cover round and the messages through it, so their results are
+// runGossip runs the central gossip baselines: the fixed schedule
+// ("gossip") and its early-stopped prefix ("gossip-earlystop"). Both bill the
+// cover round and the messages through it, so their results are
 // bit-identical; early stopping only skips the schedule's dead tail. The
 // phase label distinguishes the variants in observer streams and metrics.
 func runGossip(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options, scheme, phase string, early bool) (*SimulationResult, error) {
+	coll, cost, err := collectGossip(ctx, g, spec, o, phase, early)
+	if err != nil {
+		return nil, err
+	}
+	return replayResult(ctx, scheme, &simulate.SchemeResult{Coll: coll, Phases: []PhaseCost{cost}}, spec, o)
+}
+
+// collectGossip is the gossip family's collection stage: push–pull gossip on
+// the engine's schedule budget (its full fixed schedule, or early-stopped at
+// the cover round), billed as the named phase through the cover round.
+func collectGossip(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options, phase string, early bool) (*simulate.Collection, PhaseCost, error) {
 	budget := o.gossipBudget(g.NumNodes())
 	hooks := o.hooks()
 	collect := simulate.GossipCollect
 	if early {
 		collect = simulate.GossipCollectEarly
 	}
-	coll, cover, msgs, err := collect(ctx, g, spec.T, budget, o.Seed,
-		hooks.RoundConfig(o.localConfig(), phase))
+	coll, cover, msgs, err := collect(ctx, g, spec.T, budget, o.Seed, hooks.RoundConfig(o.localConfig(), phase))
 	if err != nil {
-		return nil, err
+		return nil, PhaseCost{}, err
 	}
 	if cover < 0 {
-		return nil, fmt.Errorf("gossip did not cover the %d-balls within %d rounds (raise WithMaxRounds): %w",
+		return nil, PhaseCost{}, fmt.Errorf("gossip did not cover the %d-balls within %d rounds (raise WithMaxRounds): %w",
 			spec.T, budget, ErrRoundBudget)
 	}
 	// As with the hybrid seed stage: the bill is truncated at the cover
-	// round, but damage attribution covers the whole executed schedule.
-	cost := PhaseCost{Name: phase, Rounds: cover, Messages: msgs,
-		Dropped: coll.Run.Dropped, Duplicated: coll.Run.Duplicated}
+	// round, but damage attribution covers the whole executed schedule (and
+	// under delay profiles the in-flight gate can keep the run going well
+	// past cover).
+	cost := simulate.RunCost(phase, coll.Run)
+	cost.Rounds, cost.Messages = cover, msgs
 	hooks.PhaseDone(cost)
-	outs, err := coll.ReplayAllN(ctx, spec, o.Concurrency)
-	if err != nil {
-		return nil, err
+	return coll, cost, nil
+}
+
+// replayScheme builds a scheme whose pipeline ends in a collection that
+// collect produces; every node's output is then replayed from it.
+func replayScheme(name, desc string,
+	collect func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*simulate.SchemeResult, error),
+) *schemeFunc {
+	return &schemeFunc{
+		name: name,
+		desc: desc,
+		run: func(ctx context.Context, g *Graph, spec AlgorithmSpec, o *Options) (*SimulationResult, error) {
+			res, err := collect(ctx, g, spec, o)
+			if err != nil {
+				return nil, err
+			}
+			return replayResult(ctx, name, res, spec, o)
+		},
 	}
-	return &SimulationResult{
-		Scheme:   scheme,
-		Outputs:  outs,
-		Rounds:   cover,
-		Messages: msgs,
-		Phases:   []PhaseCost{cost},
-	}, nil
 }
 
 // replayResult recovers every node's output from a scheme's collection —
