@@ -293,6 +293,42 @@ func BenchmarkReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayAllN measures the whole replay sweep on both sides of the
+// ball-sharing property, sequentially so ns/op is total work. complete160
+// is K₁₆₀ under MaxID(2): every ball is the whole graph, so one replay
+// serves every node. torus64 is the 64×64 torus under MaxID(1), collected
+// over the Sampler's spanner for stretch·t rounds as scheme1 does: large
+// diameter, views far larger than balls, and no two balls alike.
+func BenchmarkReplayAllN(b *testing.B) {
+	ctx := context.Background()
+	for _, bc := range []struct {
+		name string
+		g    *repro.Graph
+		spec repro.AlgorithmSpec
+	}{
+		{"complete160", gen.Complete(160), repro.MaxID(2)},
+		{"torus64", gen.Torus(64, 64), repro.MaxID(1)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			st1, _, err := simulate.BuildStage1(ctx, bc.g, simulate.Scheme1Params(1), 5, local.Config{}, simulate.Hooks{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			coll, err := simulate.Collect(ctx, bc.g, st1.Host, st1.Stretch*bc.spec.T, 5, local.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := coll.ReplayAllN(ctx, bc.spec, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkE12GlobalCompute(b *testing.B) { benchExperiment(b, "E12") }
 
 func BenchmarkE13BitComplexity(b *testing.B)  { benchExperiment(b, "E13") }

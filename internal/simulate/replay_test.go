@@ -1,13 +1,17 @@
 package simulate
 
-// Tests of the parallel replay path: byte-identical outputs at every
-// concurrency level, deterministic behaviour under cancellation (including
-// mid-replay, exercised under -race in CI), and a fuzz target generalizing
-// the corrupt-collection detection to arbitrary byte flips.
+// Tests of the replay sweep: byte-identical outputs at every concurrency
+// level and equal to per-node replay on every generator family, replays
+// shared exactly when balls coincide (pinned by protocol-instance counts),
+// deterministic behaviour under cancellation (including mid-replay,
+// exercised under -race in CI), and a fuzz target generalizing the
+// corrupt-collection detection to arbitrary byte flips.
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -46,6 +50,124 @@ func TestReplayAllNMatchesSequential(t *testing.T) {
 					t.Fatalf("%s conc=%d node %d: %v != sequential %v",
 						spec.Name, conc, v, got[v], want[v])
 				}
+			}
+		}
+	}
+}
+
+// TestReplayAllNMatchesPerNodeReplay pins the sharing rule: on every
+// generator family — the complete graph and barbell, where balls coincide,
+// and the cycle, grid and torus, large-diameter families where none do —
+// every slot of ReplayAllN equals Replay at that node, for MaxID, MIS,
+// Coloring and the Baswana–Sen stage-2 construction (map outputs), at every
+// concurrency level. Each collection is flooded for t rounds, so a view is
+// its node's ball, and for t plus the diameter, so every view is the whole
+// graph and nodes share views but not balls.
+func TestReplayAllNMatchesPerNodeReplay(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"complete", gen.Complete(16)},
+		{"barbell", gen.Barbell(6, 5)},
+		{"cycle", gen.Cycle(30)},
+		{"grid", gen.Grid(5, 6)},
+		{"torus", gen.Torus(6, 6)},
+		{"gnp", gen.ConnectedGNP(36, 0.1, xrand.New(23))},
+	}
+	for _, tc := range graphs {
+		n := tc.g.NumNodes()
+		specs := []algorithms.Spec{
+			algorithms.MaxID(1), algorithms.MaxID(2), algorithms.MaxID(3),
+			algorithms.MIS(4), algorithms.MIS(algorithms.MISRounds(n)),
+			algorithms.Coloring(algorithms.ColoringRounds(n)),
+			BaswanaSenStage2(2).spec(),
+		}
+		for _, spec := range specs {
+			for _, rounds := range []int{spec.T, spec.T + tc.g.Diameter()} {
+				checkReplayAllN(t, fmt.Sprintf("%s/%s(%d)/rounds=%d", tc.name, spec.Name, spec.T, rounds), tc.g, spec, rounds)
+			}
+		}
+	}
+}
+
+// checkReplayAllN collects over g for the given rounds and checks every
+// slot of ReplayAllN against Replay at every concurrency level.
+func checkReplayAllN(t *testing.T, name string, g *graph.Graph, spec algorithms.Spec, rounds int) {
+	t.Helper()
+	ctx := context.Background()
+	coll, err := Collect(ctx, g, g, rounds, 11, local.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]any, g.NumNodes())
+	for v := range want {
+		if want[v], err = coll.Replay(spec, graph.NodeID(v)); err != nil {
+			t.Fatalf("%s: Replay(%d): %v", name, v, err)
+		}
+	}
+	for _, conc := range []int{0, 1, 2, -1} {
+		got, err := coll.ReplayAllN(ctx, spec, conc)
+		if err != nil {
+			t.Fatalf("%s conc=%d: %v", name, conc, err)
+		}
+		for v := range want {
+			if !reflect.DeepEqual(got[v], want[v]) {
+				t.Fatalf("%s conc=%d node %d: ReplayAllN %v, Replay %v", name, conc, v, got[v], want[v])
+			}
+		}
+	}
+}
+
+// TestReplayAllNSharesReplays pins the sharing by a count, not a timing. On
+// K_n every MaxID(2) ball is the whole graph, so the sweep must build
+// exactly n protocol instances (one replay), not n². On a torus no two
+// balls coincide, so it must build exactly as many as per-node replay does,
+// even though the collection, flooded for the diameter, gives every node
+// the same view.
+func TestReplayAllNSharesReplays(t *testing.T) {
+	ctx := context.Background()
+	torus := gen.Torus(8, 8)
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		rounds int
+		shared bool
+	}{
+		{"complete", gen.Complete(40), 2, true},
+		{"torus", torus, torus.Diameter(), false},
+	} {
+		var calls atomic.Int64
+		base := algorithms.MaxID(2)
+		spec := base
+		spec.New = func(v graph.NodeID) local.Protocol {
+			calls.Add(1)
+			return base.New(v)
+		}
+		coll, err := Collect(ctx, tc.g, tc.g, tc.rounds, 3, local.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64(tc.g.NumNodes())
+		want := n
+		if !tc.shared {
+			for v := 0; v < tc.g.NumNodes(); v++ {
+				if _, err := coll.Replay(spec, graph.NodeID(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want = calls.Load()
+			if want <= n {
+				t.Fatalf("%s: per-node replay built %d instances, want more than %d", tc.name, want, n)
+			}
+		}
+		for _, conc := range []int{0, 1, 2, -1} {
+			calls.Store(0)
+			if _, err := coll.ReplayAllN(ctx, spec, conc); err != nil {
+				t.Fatal(err)
+			}
+			if got := calls.Load(); got != want {
+				t.Fatalf("%s conc=%d: ReplayAllN built %d protocol instances, want %d", tc.name, conc, got, want)
 			}
 		}
 	}
@@ -124,33 +246,26 @@ func cloneCollection(c *Collection) *Collection {
 	return out
 }
 
-// sortedOrigins returns a collection node's known origins in ascending
-// order, so fuzz mutations are deterministic for a given input.
-func sortedOrigins(m map[graph.NodeID][]graph.EdgeID) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(m))
-	for origin := range m {
-		out = append(out, origin)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // FuzzReplayDetectsCorruption generalizes TestReplayDetectsCorruptCollection
 // to arbitrary corruption of the collected balls: byte flips in collected
 // edge IDs, injected and dropped ports, and forged origins. The invariant is
 // that Replay never panics or hangs on a corrupt collection — it either
 // detects the corruption and errors, or degrades to a (possibly wrong)
-// output; both are acceptable, a crash is not.
+// output; both are acceptable, a crash is not. ReplayAllN must agree with
+// per-node Replay on the corrupt collection, so the mutations run on two
+// collections: one flooded for t rounds, where each view is its node's
+// ball, and one flooded for the diameter, where every clean view is the
+// whole graph and a corrupt view has clean twins it must not borrow from.
 func FuzzReplayDetectsCorruption(f *testing.F) {
 	g := gen.ConnectedGNP(24, 0.15, xrand.New(31))
 	spec := algorithms.MaxID(2)
-	base, err := Collect(context.Background(), g, g, spec.T, 1, local.Config{})
-	if err != nil {
-		f.Fatal(err)
+	var bases []*Collection
+	for _, rounds := range []int{spec.T, g.Diameter()} {
+		base, err := Collect(context.Background(), g, g, rounds, 1, local.Config{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		bases = append(bases, base)
 	}
 	// Seed corpus: one op per mutation kind, plus a multi-op mix.
 	f.Add([]byte{0, 0, 0, 0})
@@ -158,61 +273,92 @@ func FuzzReplayDetectsCorruption(f *testing.F) {
 	f.Add([]byte{5, 1, 2, 200})
 	f.Add([]byte{1, 2, 3, 4, 9, 1, 0, 255, 17, 3, 5, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := cloneCollection(base)
-		mutated := false
-		for len(data) >= 4 {
-			v := int(data[0]) % len(c.Ports)
-			op, a, b := data[1], data[2], data[3]
-			data = data[4:]
-			m := c.Ports[v]
-			origins := sortedOrigins(m)
-			if len(origins) == 0 {
-				continue
-			}
-			origin := origins[int(a)%len(origins)]
-			ports := m[origin]
-			switch op % 4 {
-			case 0: // flip one byte of a collected edge ID
-				if mask := graph.EdgeID(uint64(a) << (8 * (b % 8))); mask != 0 && len(ports) > 0 {
-					i := int(b) % len(ports)
-					ports[i] ^= mask
-					mutated = true
-				}
-			case 1: // inject a foreign (possibly duplicate) port
-				m[origin] = append(ports, graph.EdgeID(int64(a)<<8|int64(b)))
-				mutated = true
-			case 2: // drop a port
-				if len(ports) > 0 {
-					i := int(b) % len(ports)
-					m[origin] = append(ports[:i:i], ports[i+1:]...)
-					mutated = true
-				}
-			case 3: // forge an origin with a stolen port list
-				if target := graph.NodeID(int(a) % c.N); target != origin {
-					m[target] = append([]graph.EdgeID(nil), ports...)
-					mutated = true
-				}
-			}
-		}
-		// Replay a sample of nodes. Detected corruption surfaces as an
-		// error; undetected corruption may change the output; neither may
-		// panic or hang.
-		for _, v := range []graph.NodeID{0, graph.NodeID(c.N / 2), graph.NodeID(c.N - 1)} {
-			out, err := c.Replay(spec, v)
-			if !mutated {
-				// Uncorrupted clone: replay must still succeed and agree
-				// with the pristine collection.
-				if err != nil {
-					t.Fatalf("clean clone replay at %d failed: %v", v, err)
-				}
-				want, werr := base.Replay(spec, v)
-				if werr != nil {
-					t.Fatal(werr)
-				}
-				if out != want {
-					t.Fatalf("clean clone replay at %d drifted: %v != %v", v, out, want)
-				}
-			}
+		for _, base := range bases {
+			checkCorruptReplay(t, base, spec, data)
 		}
 	})
+}
+
+// checkCorruptReplay applies the mutations data encodes to a copy of base
+// and checks Replay and ReplayAllN on the result.
+func checkCorruptReplay(t *testing.T, base *Collection, spec algorithms.Spec, data []byte) {
+	c := cloneCollection(base)
+	mutated := false
+	for len(data) >= 4 {
+		v := int(data[0]) % len(c.Ports)
+		op, a, b := data[1], data[2], data[3]
+		data = data[4:]
+		m := c.Ports[v]
+		origins := viewOrigins(m)
+		if len(origins) == 0 {
+			continue
+		}
+		origin := origins[int(a)%len(origins)]
+		ports := m[origin]
+		switch op % 4 {
+		case 0: // flip one byte of a collected edge ID
+			if mask := graph.EdgeID(uint64(a) << (8 * (b % 8))); mask != 0 && len(ports) > 0 {
+				i := int(b) % len(ports)
+				ports[i] ^= mask
+				mutated = true
+			}
+		case 1: // inject a foreign (possibly duplicate) port
+			m[origin] = append(ports, graph.EdgeID(int64(a)<<8|int64(b)))
+			mutated = true
+		case 2: // drop a port
+			if len(ports) > 0 {
+				i := int(b) % len(ports)
+				m[origin] = append(ports[:i:i], ports[i+1:]...)
+				mutated = true
+			}
+		case 3: // forge an origin with a stolen port list
+			if target := graph.NodeID(int(a) % c.N); target != origin {
+				m[target] = append([]graph.EdgeID(nil), ports...)
+				mutated = true
+			}
+		}
+	}
+	// Replay every node. Detected corruption surfaces as an error;
+	// undetected corruption may change the output; neither may panic or
+	// hang.
+	want := make([]any, c.N)
+	var failed error
+	for v := range want {
+		out, err := c.Replay(spec, graph.NodeID(v))
+		if err != nil && failed == nil {
+			failed = err
+		}
+		want[v] = out
+	}
+	// The sweep must fail exactly when some node's replay fails, and
+	// otherwise match it slot by slot: a corrupt view never borrows a clean
+	// twin's run.
+	for _, conc := range []int{0, -1} {
+		got, err := c.ReplayAllN(context.Background(), spec, conc)
+		if (err != nil) != (failed != nil) {
+			t.Fatalf("conc=%d: ReplayAllN error %v, per-node replay error %v", conc, err, failed)
+		}
+		for v := range got {
+			if got[v] != want[v] {
+				t.Fatalf("conc=%d node %d: ReplayAllN %v, Replay %v", conc, v, got[v], want[v])
+			}
+		}
+	}
+	for _, v := range []graph.NodeID{0, graph.NodeID(c.N / 2), graph.NodeID(c.N - 1)} {
+		out, err := c.Replay(spec, v)
+		if !mutated {
+			// Uncorrupted clone: replay must still succeed and agree
+			// with the pristine collection.
+			if err != nil {
+				t.Fatalf("clean clone replay at %d failed: %v", v, err)
+			}
+			want, werr := base.Replay(spec, v)
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			if out != want {
+				t.Fatalf("clean clone replay at %d drifted: %v != %v", v, out, want)
+			}
+		}
+	}
 }

@@ -248,6 +248,18 @@ type Stage2 struct {
 	Output func(local.Protocol) map[graph.EdgeID]bool
 }
 
+// spec is the construction as an algorithm to replay. A node's output is its
+// incident H' edges (both endpoints of every H' edge know it, by the
+// protocols' accept messages).
+func (st2 Stage2) spec() algorithms.Spec {
+	return algorithms.Spec{
+		Name:   st2.Name,
+		T:      st2.T,
+		New:    func(graph.NodeID) local.Protocol { return st2.New() },
+		Output: func(pr local.Protocol) any { return st2.Output(pr) },
+	}
+}
+
 // BaswanaSenStage2 is the Baswana–Sen construction as a stage-2 target:
 // stretch 2k−1 in O(k²) rounds.
 func BaswanaSenStage2(k int) Stage2 {
@@ -294,23 +306,13 @@ func Scheme2With(ctx context.Context, g *graph.Graph, spec algorithms.Spec, p co
 	}
 
 	// Stage 2: simulate the off-the-shelf construction over H1.
-	st2Spec := algorithms.Spec{
-		Name: st2.Name,
-		T:    st2.T,
-		New:  func(graph.NodeID) local.Protocol { return st2.New() },
-		Output: func(pr local.Protocol) any {
-			// A node's output is its incident H' edges (both endpoints of
-			// every H' edge know it, by the protocols' accept messages).
-			return st2.Output(pr)
-		},
-	}
 	coll2, err := Collect(ctx, g, st1.Host, st1.Stretch*st2.T, seed, hooks.RoundConfig(cfg, st2.Name))
 	if err != nil {
 		return nil, fmt.Errorf("scheme2 stage-2 collection: %w", err)
 	}
 	// Set union is order-independent, so the merged spanner is identical at
 	// every replay concurrency level.
-	nodeEdges, err := coll2.ReplayAllN(ctx, st2Spec, replayWorkers(cfg))
+	nodeEdges, err := coll2.ReplayAllN(ctx, st2.spec(), replayWorkers(cfg))
 	if err != nil {
 		return nil, fmt.Errorf("scheme2 stage-2 replay: %w", err)
 	}

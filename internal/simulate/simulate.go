@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/broadcast"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/local"
 )
@@ -146,159 +145,6 @@ func collectionFrom(g *graph.Graph, known []map[graph.NodeID]any, seed uint64, r
 		coll.Ports[v] = m
 	}
 	return coll
-}
-
-// Replay reconstructs node v's exact t-ball from the collection and
-// re-executes the algorithm on it, returning v's output — the value it
-// would have produced in a direct t-round run on the original graph.
-func (c *Collection) Replay(spec algorithms.Spec, v graph.NodeID) (any, error) {
-	known := c.Ports[v]
-	// Adjacency among known origins: an edge ID shared by two port lists
-	// connects them (the unique-edge-ID assumption at work).
-	owners := make(map[graph.EdgeID][]graph.NodeID)
-	//freelunch:orderok owner-list order only pairs edge endpoints; replay sorts the ball and takes order-independent BFS distances
-	for origin, ports := range known {
-		for _, e := range ports {
-			owners[e] = append(owners[e], origin)
-		}
-	}
-	adj := make(map[graph.NodeID][]graph.NodeID, len(known))
-	//freelunch:orderok adjacency is consumed as a set: replay's distance computation is neighbor-order-independent
-	for e, os := range owners {
-		if len(os) > 2 {
-			return nil, fmt.Errorf("simulate: edge %d claimed by %d nodes", e, len(os))
-		}
-		if len(os) == 2 {
-			adj[os[0]] = append(adj[os[0]], os[1])
-			adj[os[1]] = append(adj[os[1]], os[0])
-		}
-	}
-	// Distances from v among known origins. For targets within t these
-	// equal original-graph distances: every vertex of a shortest path of
-	// length <= t lies in B_{G,t}(v), which the collection covers.
-	dist := map[graph.NodeID]int{v: 0}
-	queue := []graph.NodeID{v}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if dist[u] >= spec.T {
-			continue
-		}
-		for _, w := range adj[u] {
-			if _, ok := dist[w]; !ok {
-				dist[w] = dist[u] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	// Ball members, deterministically ordered.
-	ball := make([]graph.NodeID, 0, len(dist))
-	for u := range dist {
-		ball = append(ball, u)
-	}
-	sort.Slice(ball, func(i, j int) bool { return ball[i] < ball[j] })
-
-	// Build the replay graph: ball nodes with their complete port lists.
-	// Edges leaving the ball get their far endpoint as a "phantom" node —
-	// the known origin beyond distance t when the collection heard of it, or
-	// a synthetic node otherwise. Phantoms sit at distance >= t+1 from v, so
-	// their (arbitrary) behaviour cannot influence v within t rounds; they
-	// exist so that boundary nodes of the ball see their true degree.
-	idx := make(map[graph.NodeID]int, len(ball))
-	var idmap []graph.NodeID
-	addNode := func(id graph.NodeID) int {
-		if i, ok := idx[id]; ok {
-			return i
-		}
-		i := len(idmap)
-		idx[id] = i
-		idmap = append(idmap, id)
-		return i
-	}
-	for _, u := range ball {
-		addNode(u)
-	}
-	type pend struct {
-		e    graph.EdgeID
-		a, b int
-	}
-	var pends []pend
-	seenEdge := make(map[graph.EdgeID]bool)
-	synth := c.N // synthetic phantom identities start beyond all real IDs
-	for _, u := range ball {
-		for _, e := range known[u] {
-			if seenEdge[e] {
-				continue
-			}
-			seenEdge[e] = true
-			var far graph.NodeID
-			switch os := owners[e]; len(os) {
-			case 2:
-				far = os[0]
-				if far == u {
-					far = os[1]
-				}
-			default:
-				far = graph.NodeID(synth)
-				synth++
-			}
-			pends = append(pends, pend{e: e, a: idx[u], b: addNode(far)})
-		}
-	}
-	rg := graph.New(len(idmap))
-	for _, p := range pends {
-		if p.a == p.b {
-			return nil, fmt.Errorf("simulate: reconstructed self-loop on edge %d", p.e)
-		}
-		if err := rg.AddEdgeWithID(p.e, graph.NodeID(p.a), graph.NodeID(p.b)); err != nil {
-			return nil, fmt.Errorf("simulate: rebuilding ball of %d: %w", v, err)
-		}
-	}
-
-	// Re-execute with original identities, original network size, and the
-	// original seed, so every ball node behaves exactly as in the real run.
-	protos := make([]local.Protocol, rg.NumNodes())
-	run, err := local.Run(rg, func(id graph.NodeID) local.Protocol {
-		p := spec.New(id)
-		// Factory receives mapped IDs; find the slot by identity.
-		protos[idx[id]] = p
-		return p
-	}, local.Config{
-		Seed:      c.Seed,
-		MaxRounds: spec.T + 1,
-		IDMap:     idmap,
-		NOverride: c.N,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !run.Halted {
-		return nil, fmt.Errorf("simulate: replay of %s did not halt in %d rounds", spec.Name, spec.T)
-	}
-	return spec.Output(protos[idx[v]]), nil
-}
-
-// ReplayAllN replays every node and returns the full output vector, fanning
-// the independent per-node re-executions out over a worker pool. The
-// concurrency knob follows the facade convention: 0 sequential, w > 0 that
-// many workers, w < 0 GOMAXPROCS. Output slots are indexed by node, so the
-// result is byte-identical at every concurrency level; cancelling ctx aborts
-// between node replays (each replay is one small-ball local re-execution,
-// so aborts land within one node's work).
-func (c *Collection) ReplayAllN(ctx context.Context, spec algorithms.Spec, concurrency int) ([]any, error) {
-	out := make([]any, len(c.Ports))
-	err := core.ParallelFor(ctx, len(c.Ports), concurrency, func(v int) error {
-		o, err := c.Replay(spec, graph.NodeID(v))
-		if err != nil {
-			return fmt.Errorf("node %d: %w", v, err)
-		}
-		out[v] = o
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Direct runs the algorithm directly on g — the ground truth and the
