@@ -232,6 +232,26 @@ func BenchmarkSamplerDistributed(b *testing.B) {
 	b.ReportMetric(float64(msgs), "msgs/op")
 }
 
+// BenchmarkSamplerDistributedTorus is the distributed Sampler in the regime
+// where its draws dominate: on the 64×64 torus each root draws thousands of
+// query edges per trial from a pool of a few dozen boundary edges. Its B/op
+// is gated in CI, so a trial broadcast that again carries every
+// with-replacement draw, rather than the distinct ones, fails.
+func BenchmarkSamplerDistributedTorus(b *testing.B) {
+	g := gen.Torus(64, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var msgs int64
+	for i := 0; i < b.N; i++ {
+		res, err := core.BuildDistributed(g, core.Default(1, 3), 5, local.Config{Concurrent: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs = res.Run.Messages
+	}
+	b.ReportMetric(float64(msgs), "msgs/op")
+}
+
 func BenchmarkLocalEngineSequential(b *testing.B) {
 	benchLocalEngine(b, false)
 }

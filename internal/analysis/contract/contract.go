@@ -43,6 +43,7 @@ var DeterministicPackages = map[string]bool{
 	"repro/internal/spanner":       true,
 	"repro/internal/globalcompute": true,
 	"repro/internal/adversary":     true,
+	"repro/internal/core":          true,
 }
 
 // Deterministic reports whether the package at path is bound by the

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/local"
@@ -142,7 +142,7 @@ type distNode struct {
 	isRoot        bool
 	hasParent     bool
 	parent        graph.EdgeID
-	tree          map[graph.EdgeID]bool // my incident cluster-tree edges
+	tree          []graph.EdgeID // my incident cluster-tree edges, sorted
 	depth         int
 	clusterRoot   graph.NodeID
 	cb            *boundary
@@ -225,7 +225,6 @@ func (nd *distNode) init(env *local.Env) {
 	}
 	nd.isRoot = true
 	nd.clusterRoot = nd.id
-	nd.tree = make(map[graph.EdgeID]bool)
 	nd.cb = newBoundary(edges)
 	nd.resetRootLevelState()
 	nd.inS = make(map[graph.EdgeID]bool)
@@ -342,7 +341,7 @@ func (nd *distNode) flushAccepts(env *local.Env) {
 // forwardDown relays a broadcast payload over every tree edge except the one
 // it arrived on (noEdge for the root: send to all children).
 func (nd *distNode) forwardDown(env *local.Env, from graph.EdgeID, payload any) {
-	for e := range nd.tree {
+	for _, e := range nd.tree {
 		if e != from {
 			env.Send(e, payload)
 			env.Count(CntTree, 1)
@@ -355,19 +354,13 @@ func (nd *distNode) forwardDown(env *local.Env, from graph.EdgeID, payload any) 
 func (nd *distNode) rootTrialBcast(env *local.Env, ph phase) {
 	idle := nd.fCount >= nd.p.threshold(ph.level, nEstimate(env)) || nd.x.empty()
 	var samples []graph.EdgeID
+	draws := 0
 	if !idle {
-		count := nd.p.samplesPerTrial(ph.level, nEstimate(env))
-		samples = make([]graph.EdgeID, 0, count)
-		for i := 0; i < count; i++ {
-			e, ok := nd.x.sample(env.Rand())
-			if !ok {
-				break
-			}
-			samples = append(samples, e)
-		}
+		draws = nd.p.samplesPerTrial(ph.level, nEstimate(env))
+		samples = nd.x.drawDistinct(env.Rand(), draws)
 	}
 	nd.sampleOrder = samples
-	msg := mTrial{Samples: samples, FAdds: nd.fPending, Idle: idle}
+	msg := mTrial{Samples: samples, Draws: draws, FAdds: nd.fPending, Idle: idle}
 	nd.fPending = nil
 	nd.handleTrial(env, msg)
 	nd.forwardDown(env, noEdge, msg)
@@ -379,7 +372,7 @@ func (nd *distNode) rootCenterBcast(env *local.Env, ph phase) {
 	for _, e := range nd.queried {
 		probes = append(probes, e)
 	}
-	sort.Slice(probes, func(i, j int) bool { return probes[i] < probes[j] })
+	slices.Sort(probes)
 	msg := mCenter{IsCenter: nd.isCenterFlag, Probes: probes, FAdds: nd.fPending}
 	nd.fPending = nil
 	nd.handleCenter(env, msg)
@@ -407,6 +400,7 @@ func (nd *distNode) rootFSBcast(env *local.Env, ph phase) {
 }
 
 func (nd *distNode) anyQueriedCenter() bool {
+	//freelunch:orderok existence test: the answer is the same in any order
 	for _, isC := range nd.queriedCenter {
 		if isC {
 			return true
@@ -424,6 +418,7 @@ func (nd *distNode) rootDecideBcast(env *local.Env, ph phase) {
 		// Join the smallest queried center, if any (the paper allows an
 		// arbitrary choice; smallest keeps runs reproducible).
 		target := noNode
+		//freelunch:orderok strict minimum over distinct keys: order-free
 		for u, isC := range nd.queriedCenter {
 			if isC && (target == noNode || u < target) {
 				target = u
@@ -446,13 +441,11 @@ func (nd *distNode) rootNewClusterFlood(env *local.Env) {
 		panic(fmt.Sprintf("core: node %d: center root has no merged boundary", nd.id))
 	}
 	nd.cb = nd.pendingNewB
-	for _, e := range nd.acceptedJoins {
-		nd.tree[e] = true
-	}
+	nd.tree = edgeSet(nd.tree, nd.acceptedJoins)
 	nd.acceptedJoins = nil
 	nd.depth = 0
 	nd.resetRootLevelState()
-	for e := range nd.tree {
+	for _, e := range nd.tree {
 		env.Send(e, mNewCluster{Root: nd.id, B: nd.cb, Depth: 0})
 		env.Count(CntTree, 1)
 	}
@@ -546,13 +539,13 @@ func (nd *distNode) markFAdds(fAdds []graph.EdgeID) {
 }
 
 // ownIncident filters a broadcast edge list down to this node's own edges,
-// deduplicated, preserving order.
+// preserving order. Every list broadcast to it is already duplicate-free: a
+// trial's distinct draws, the probe edges (one per queried cluster), and the
+// fail-safe pool snapshot.
 func (nd *distNode) ownIncident(edges []graph.EdgeID) []graph.EdgeID {
 	var out []graph.EdgeID
-	seen := make(map[graph.EdgeID]bool)
 	for _, e := range edges {
-		if nd.myEdges[e] && !seen[e] {
-			seen[e] = true
+		if nd.myEdges[e] {
 			out = append(out, e)
 		}
 	}
@@ -593,21 +586,13 @@ func (nd *distNode) handleNewCluster(env *local.Env, from graph.EdgeID, m mNewCl
 		panic(fmt.Sprintf("core: node %d: duplicate new-cluster flood", nd.id))
 	}
 	nd.floodSeen = true
-	newTree := make(map[graph.EdgeID]bool, len(nd.tree)+len(nd.acceptedJoins)+1)
-	for e := range nd.tree {
-		newTree[e] = true
-	}
-	for _, e := range nd.acceptedJoins {
-		newTree[e] = true
-	}
-	newTree[from] = true
-	for e := range newTree {
+	nd.tree = edgeSet(nd.tree, append(nd.acceptedJoins, from))
+	for _, e := range nd.tree {
 		if e != from {
 			env.Send(e, mNewCluster{Root: m.Root, B: m.B, Depth: m.Depth + 1})
 			env.Count(CntTree, 1)
 		}
 	}
-	nd.tree = newTree
 	nd.hasParent = true
 	nd.parent = from
 	nd.depth = m.Depth + 1
@@ -767,23 +752,32 @@ func (nd *distNode) finalizeJoinConv() {
 		nd.itemsJoin = nil // stale aggregates at a joining/dying old root
 		return
 	}
-	counts := make(map[graph.EdgeID]int, len(nd.cb.list))
-	for _, e := range nd.cb.list {
-		counts[e]++
-	}
+	all := slices.Clone(nd.cb.list)
 	for _, it := range nd.itemsJoin {
-		for _, e := range it.B.list {
-			counts[e]++
-		}
+		all = append(all, it.B.list...)
 	}
+	slices.Sort(all)
 	var edges []graph.EdgeID
-	for e, c := range counts {
-		if c == 1 {
-			edges = append(edges, e)
+	for i := 0; i < len(all); {
+		j := i + 1
+		for j < len(all) && all[j] == all[i] {
+			j++
 		}
+		if j == i+1 {
+			edges = append(edges, all[i])
+		}
+		i = j
 	}
 	nd.pendingNewB = newBoundary(edges)
 	nd.itemsJoin = nil
+}
+
+// edgeSet returns the sorted union of tree and add without duplicates. It
+// reuses tree's backing array.
+func edgeSet(tree, add []graph.EdgeID) []graph.EdgeID {
+	tree = append(tree, add...)
+	slices.Sort(tree)
+	return slices.Compact(tree)
 }
 
 // ----------------------------------------------------------------- exit ---

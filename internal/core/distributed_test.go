@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -343,4 +347,70 @@ func TestDistributedPropertyRandomGraphs(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDistributedBillPinned pins the distributed Sampler's full bill —
+// messages, rounds, payload words, every counter — and the spanner itself
+// on both engines. No golden records PayloadUnits, so this is the guard on
+// the word bill: a trial broadcast is billed for every with-replacement
+// draw even though only the distinct draws travel.
+func TestDistributedBillPinned(t *testing.T) {
+	type bill struct {
+		msgs, units int64
+		rounds, s   int
+		hash        uint64
+		// query (= reply), tree, accept, probe, join
+		query, tree, accept, probe, join int64
+	}
+	graphs := map[string]*graph.Graph{
+		"torus16":     gen.Torus(16, 16),
+		"complete120": gen.Complete(120),
+		"gnp300":      gen.ConnectedGNP(300, 0.05, xrand.New(3)),
+	}
+	for _, tc := range []struct {
+		graph string
+		k, h  int
+		want  bill
+	}{
+		{"torus16", 1, 3, bill{8176, 267411, 98, 512, 0x28393bcfdfe9899f, 1452, 1920, 1184, 2048, 120}},
+		{"torus16", 2, 4, bill{15210, 183260, 332, 512, 0x28393bcfdfe9899f, 2122, 5629, 1776, 3376, 185}},
+		{"complete120", 1, 3, bill{48744, 17511742, 98, 3752, 0xc523cb7f6b4ecc6e, 17032, 1600, 4580, 8400, 100}},
+		{"complete120", 2, 4, bill{37952, 15376481, 332, 2929, 0x719414a50dd143a5, 11945, 3334, 3796, 6832, 100}},
+		{"gnp300", 1, 3, bill{35573, 1535513, 98, 2282, 0x73e556dc373586d6, 8299, 3792, 5818, 9128, 237}},
+		{"gnp300", 2, 4, bill{51259, 2758562, 332, 2280, 0x647fb155c1f6a105, 10025, 9244, 7376, 14320, 269}},
+	} {
+		for _, conc := range []bool{false, true} {
+			name := fmt.Sprintf("%s/K%dH%d/concurrent=%v", tc.graph, tc.k, tc.h, conc)
+			t.Run(name, func(t *testing.T) {
+				res, err := BuildDistributed(graphs[tc.graph], Default(tc.k, tc.h), 7, local.Config{Concurrent: conc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := res.Run.Counters
+				if c[CntQuery] != c[CntReply] {
+					t.Fatalf("queries %d != replies %d", c[CntQuery], c[CntReply])
+				}
+				if len(c) != 6 {
+					t.Fatalf("counters %v, want exactly the six sampler.* kinds", c)
+				}
+				got := bill{
+					res.Run.Messages, res.Run.PayloadUnits, res.Run.Rounds, len(res.S), edgeSetHash(res.S),
+					c[CntQuery], c[CntTree], c[CntAccept], c[CntProbe], c[CntJoin],
+				}
+				if got != tc.want {
+					t.Fatalf("bill %+v\nwant %+v", got, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// edgeSetHash is FNV-1a over the set's IDs in ascending order, each written
+// in decimal and followed by a comma.
+func edgeSetHash(s map[graph.EdgeID]bool) uint64 {
+	h := fnv.New64a()
+	for _, e := range slices.Sorted(maps.Keys(s)) {
+		fmt.Fprintf(h, "%d,", e)
+	}
+	return h.Sum64()
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -20,7 +22,7 @@ import (
 //
 // It returns nil if all invariants hold.
 func (r *Result) ValidateHierarchy(g *graph.Graph) error {
-	for id := range r.S {
+	for _, id := range slices.Sorted(maps.Keys(r.S)) {
 		if !g.HasEdgeID(id) {
 			return fmt.Errorf("core: spanner edge %d not in input graph", id)
 		}
@@ -61,7 +63,7 @@ func validateLevel(lvl *Level, g, h *graph.Graph, p Params) error {
 	// One center per next-level cluster, and unclustered ⇒ light when the
 	// fail-safe is on.
 	if lvl.Assign != nil {
-		centersPerCluster := make(map[int]int)
+		centersPerCluster := make([]int, len(lvl.Assign))
 		for v, c := range lvl.Assign {
 			if c == graph.Dropped {
 				if p.FailSafe && !lvl.Light[v] {
@@ -69,12 +71,15 @@ func validateLevel(lvl *Level, g, h *graph.Graph, p Params) error {
 				}
 				continue
 			}
+			if c < 0 || c >= len(centersPerCluster) {
+				return fmt.Errorf("node %d assigned to out-of-range cluster %d", v, c)
+			}
 			if lvl.Center[v] {
 				centersPerCluster[c]++
 			}
 		}
 		for c, count := range centersPerCluster {
-			if count != 1 {
+			if count > 1 {
 				return fmt.Errorf("cluster %d has %d centers", c, count)
 			}
 		}
@@ -117,17 +122,13 @@ func inducedDiameter(h *graph.Graph, members []graph.NodeID) int {
 				}
 				if _, ok := dist[half.Peer]; !ok {
 					dist[half.Peer] = dist[v] + 1
+					diam = max(diam, dist[v]+1)
 					queue = append(queue, half.Peer)
 				}
 			}
 		}
 		if len(dist) != len(members) {
 			return -1
-		}
-		for _, d := range dist {
-			if d > diam {
-				diam = d
-			}
 		}
 	}
 	return diam

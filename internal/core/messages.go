@@ -36,8 +36,17 @@ func (b *boundary) contains(e graph.EdgeID) bool { return b != nil && b.set[e] }
 
 // mTrial flows down the cluster tree at each trial: the root's sampled query
 // edges plus spanner-edge additions decided since the previous broadcast.
+//
+// Samples holds the trial's distinct draws in first-draw order. The root
+// draws Draws edges with replacement, and a repeated draw adds no query: the
+// owner of an edge queries it once, and the root's reduction skips an edge
+// it has already peeled or stopped at. Draws is what the model transmits,
+// the full with-replacement sequence, and the word bill counts it; shipping
+// only the distinct edges is a simulator optimization, like the shared
+// *boundary below.
 type mTrial struct {
 	Samples []graph.EdgeID
+	Draws   int
 	FAdds   []graph.EdgeID
 	Idle    bool // the root finished early; no queries this trial
 }
@@ -170,7 +179,7 @@ func blen(b *boundary) int64 {
 
 // PayloadUnits implements local.Sizer.
 func (m mTrial) PayloadUnits() int64 {
-	return 1 + int64(len(m.Samples)) + int64(len(m.FAdds))
+	return 1 + int64(m.Draws) + int64(len(m.FAdds))
 }
 
 // PayloadUnits implements local.Sizer.

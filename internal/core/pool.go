@@ -57,12 +57,25 @@ func (p *edgePool) contains(e graph.EdgeID) bool {
 	return ok
 }
 
-// sample returns a uniform unexplored edge; ok is false on an empty pool.
-func (p *edgePool) sample(rng *xrand.RNG) (graph.EdgeID, bool) {
-	if len(p.list) == 0 {
-		return 0, false
+// drawDistinct makes count uniform draws with replacement from the pool and
+// returns the distinct edges drawn, in first-draw order. Every draw consumes
+// the RNG, repeats included, so the stream does not depend on how many
+// distinct edges come up. It returns nil on an empty pool.
+func (p *edgePool) drawDistinct(rng *xrand.RNG, count int) []graph.EdgeID {
+	n := len(p.list)
+	if n == 0 {
+		return nil
 	}
-	return p.list[rng.Intn(len(p.list))], true
+	drawn := make([]bool, n) // by pool position
+	var out []graph.EdgeID
+	for i := 0; i < count; i++ {
+		j := rng.Intn(n)
+		if !drawn[j] {
+			drawn[j] = true
+			out = append(out, p.list[j])
+		}
+	}
+	return out
 }
 
 // remove deletes e if present.

@@ -371,6 +371,7 @@ func markCentersAndCluster(lvl *Level, p Params, rng *xrand.RNG) {
 // (the paper allows an arbitrary choice; smallest makes runs reproducible).
 func (lvl *Level) queriedCenter(v int) graph.NodeID {
 	best := noNode
+	//freelunch:orderok strict minimum over distinct keys: order-free
 	for u := range lvl.queried[v] {
 		if lvl.Center[u] && (best == noNode || u < best) {
 			best = u

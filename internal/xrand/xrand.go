@@ -15,7 +15,10 @@
 // goroutine-per-node simulator needs.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudorandom number generator. The zero value is a
 // valid generator seeded with 0; prefer New or Derive for explicit seeding.
@@ -79,22 +82,11 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mulHiLo(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mulHiLo returns the high and low 64 bits of a*b.
-func mulHiLo(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo = a * b
-	hi = aHi*bHi + t>>32 + (t&mask+aLo*bHi)>>32
-	return hi, lo
 }
 
 // Int63n returns a uniform value in [0, n). It panics if n <= 0.
